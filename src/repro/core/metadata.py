@@ -3,10 +3,13 @@
 For each cluster ``C`` and dimension ``d`` the data-level metadata stores the
 step function ``R^{d>=}(v) = |rows of C with d >= v| / S`` at every distinct
 value ``v`` of ``d`` in ``C``; the global metadata stores per-cluster
-``(v_min^d, v_max^d)`` for pruning (Eq 2). Built with a single Spark pass per
-dimension (groupBy + descending window cumulative sum), then collected to the
-driver — the paper stores this as small per-cluster meta files (~tens of KB
-per cluster), so driver-side pandas/numpy lookup is the faithful analogue.
+``(v_min^d, v_max^d)`` for pruning (Eq 2). Built from one Spark scan per
+provider: the dimensions are stacked into ``(cluster_id, dim, value)`` rows
+and one groupBy counts each distinct value, collected once through Arrow.
+The driver turns the counts into cumulative counts with a segmented reverse
+cumulative sum per (cluster, dim) in numpy — the paper stores this as small
+per-cluster meta files (~tens of KB per cluster), so driver-side
+pandas/numpy lookup is the faithful analogue.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
+from pyspark.sql.pandas.types import to_arrow_schema
 
 
 @dataclass
@@ -68,51 +71,70 @@ class ProviderMetadata:
 def build_metadata(df: DataFrame, *, dims: list[str], S: int) -> ProviderMetadata:
     """Run Algorithm 1 over a provider table (must carry ``cluster_id``).
 
-    One Spark aggregation computes distinct-value counts per (cluster, dim);
-    a descending window cumulative sum turns them into ``R^{d>=}`` without a
-    second scan. All dimension passes are unioned into a single job.
+    One Spark aggregation scans the table once: every dimension is stacked
+    into ``(cluster_id, dim, value)`` rows and grouped into distinct-value
+    counts, collected through Arrow. The driver sorts the counts by
+    (cluster, dim, value); a reverse cumulative sum within each
+    (cluster, dim) segment gives ``cnt_geq``, the segment's first and last
+    values are the cluster's ``(vmin, vmax)``, and one dimension's counts sum
+    to the cluster's row count.
     """
     if S <= 0:
         raise ValueError("cluster size S must be positive")
-    stacked = None
-    for d in dims:
-        part = (
-            df.groupBy("cluster_id", F.col(d).alias("value"))
-            .agg(F.count(F.lit(1)).alias("cnt"))
-            .withColumn("dim", F.lit(d))
-        )
-        stacked = part if stacked is None else stacked.unionByName(part)
-    w = (
-        Window.partitionBy("cluster_id", "dim")
-        .orderBy(F.desc("value"))
-        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
+    if not dims:
+        raise ValueError("metadata needs at least one dimension")
+    dims = list(dims)
+    schema = to_arrow_schema(df.select("cluster_id", *dims).schema)
+    # stack() needs one type for every stacked column; mixed dims widen to
+    # double and their (vmin, vmax) are cast back to each dim's own type.
+    same_type = len({schema.field(d).type for d in dims}) == 1
+    stacked_cols = ", ".join(
+        f"{i}, `{d}`" if same_type else f"{i}, CAST(`{d}` AS DOUBLE)"
+        for i, d in enumerate(dims)
     )
-    vals = (
-        stacked.withColumn("cnt_geq", F.sum("cnt").over(w))
-        .withColumn("r_geq", F.col("cnt_geq") / F.lit(float(S)))
-        .select("cluster_id", "dim", "value", "r_geq")
-        .toPandas()
+    counts = (
+        df.selectExpr("cluster_id", f"stack({len(dims)}, {stacked_cols}) AS (dim, value)")
+        .groupBy("cluster_id", "dim", "value")
+        .count()
+        .toArrow()
     )
+    cid = counts.column("cluster_id").to_numpy()
+    dim = counts.column("dim").to_numpy()
+    value = counts.column("value").to_numpy()
+    cnt = counts.column("count").to_numpy()
+    order = np.lexsort((value, dim, cid))
+    cid, dim, value, cnt = cid[order], dim[order], value[order], cnt[order]
 
-    agg_exprs = [F.count(F.lit(1)).alias("n_rows")]
-    for d in dims:
-        agg_exprs += [F.min(d).alias(f"{d}__min"), F.max(d).alias(f"{d}__max")]
-    glob = df.groupBy("cluster_id").agg(*agg_exprs).toPandas()
-    glob = glob.set_index("cluster_id").sort_index()
+    # Segment = one (cluster, dim); starts[k]:ends[k] are its rows. Built
+    # from boundary masks so that an empty table gives no segments.
+    boundary = (cid[1:] != cid[:-1]) | (dim[1:] != dim[:-1])
+    starts = np.flatnonzero(np.concatenate([[len(cid) > 0], boundary]))
+    ends = np.flatnonzero(np.concatenate([boundary, [len(cid) > 0]])) + 1
+    csum = np.cumsum(cnt)
+    cnt_geq = np.repeat(csum[ends - 1], ends - starts) - csum + cnt  # rows >= value
+    r_geq = cnt_geq / float(S)
+    value_f64 = value.astype("float64")
 
-    rgeq: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-    for (cid, dim), grp in vals.groupby(["cluster_id", "dim"], sort=False):
-        grp = grp.sort_values("value")
-        rgeq[(int(cid), str(dim))] = (
-            grp["value"].to_numpy(dtype="float64"),
-            grp["r_geq"].to_numpy(dtype="float64"),
-        )
-
-    minmax = {
-        d: glob[[f"{d}__min", f"{d}__max"]].rename(
-            columns={f"{d}__min": "vmin", f"{d}__max": "vmax"}
-        )
-        for d in dims
+    seg_cid, seg_dim = cid[starts], dim[starts]
+    rgeq: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {
+        (int(c), dims[k]): (value_f64[a:b], r_geq[a:b])
+        for c, k, a, b in zip(seg_cid.tolist(), seg_dim.tolist(), starts, ends)
     }
-    n_rows = {int(c): int(n) for c, n in glob["n_rows"].items()}
-    return ProviderMetadata(S=int(S), dims=list(dims), minmax=minmax, rgeq=rgeq, n_rows=n_rows)
+
+    # Every row carries every dim, so each dim has one segment per cluster,
+    # in ascending cluster order.
+    minmax: dict[str, pd.DataFrame] = {}
+    for k, d in enumerate(dims):
+        in_dim = seg_dim == k
+        index = pd.Index(seg_cid[in_dim], name="cluster_id")
+        dtype = schema.field(d).type.to_pandas_dtype()
+        minmax[d] = pd.DataFrame(
+            {
+                "vmin": value[starts[in_dim]].astype(dtype),
+                "vmax": value[ends[in_dim] - 1].astype(dtype),
+            },
+            index=index,
+        )
+    first = starts[seg_dim == 0]
+    n_rows = {int(c): int(n) for c, n in zip(cid[first], cnt_geq[first])}
+    return ProviderMetadata(S=int(S), dims=dims, minmax=minmax, rgeq=rgeq, n_rows=n_rows)

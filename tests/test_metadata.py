@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.metadata import build_metadata
+from repro.core.metadata import ProviderMetadata, build_metadata
+from repro.core.proportions import clusters_for_query, proportions
+from repro.core.query import COUNT, RangeQuery
 from repro.synth_data import adult_tensor, assign_clusters
 
 DIMS = ["age", "education", "hours"]
@@ -114,3 +117,93 @@ class TestFootprint:
     def test_cluster_ids_sorted(self, meta):
         ids = meta.cluster_ids
         assert (np.diff(ids) > 0).all()
+
+
+def reference_metadata(pdf: pd.DataFrame, dims: list[str], S: int) -> ProviderMetadata:
+    """Algorithm 1 in plain pandas: the golden reference for every entry."""
+    rgeq = {}
+    minmax = {}
+    for d in dims:
+        counts = pdf.groupby(["cluster_id", d]).size()
+        for cid, c in counts.groupby(level="cluster_id"):
+            cnt_geq = c.to_numpy()[::-1].cumsum()[::-1]
+            rgeq[(int(cid), d)] = (
+                c.index.get_level_values(d).to_numpy(dtype="float64"),
+                cnt_geq / float(S),
+            )
+        minmax[d] = (
+            pdf.groupby("cluster_id")[d]
+            .agg(["min", "max"])
+            .rename(columns={"min": "vmin", "max": "vmax"})
+        )
+    n_rows = {int(c): int(n) for c, n in pdf.groupby("cluster_id").size().items()}
+    return ProviderMetadata(S=S, dims=list(dims), minmax=minmax, rgeq=rgeq, n_rows=n_rows)
+
+
+def assert_metadata_equal(got: ProviderMetadata, want: ProviderMetadata) -> None:
+    assert got.S == want.S and got.dims == want.dims
+    assert got.n_rows == want.n_rows
+    assert got.rgeq.keys() == want.rgeq.keys()
+    for key, (values, r) in want.rgeq.items():
+        got_values, got_r = got.rgeq[key]
+        assert got_values.dtype == got_r.dtype == np.float64, key
+        # exact float equality: integer counts over the same float S
+        assert np.array_equal(got_values, values), key
+        assert np.array_equal(got_r, r), key
+    for d in want.dims:
+        pd.testing.assert_frame_equal(got.minmax[d], want.minmax[d], check_exact=True)
+    assert got.size_bytes() == want.size_bytes()
+
+
+class TestGolden:
+    """Every (cluster, dim) of every provider against the pandas reference."""
+
+    @pytest.mark.parametrize("fed_name", ["adult_fed", "amazon_fed"])
+    def test_federation_metadata_matches_reference(self, request, fed_name):
+        fed = request.getfixturevalue(fed_name)
+        for provider, local in zip(fed.providers, fed.local_frames):
+            assert_metadata_equal(provider.meta, reference_metadata(local, fed.dims, fed.S))
+            assert provider.meta.minmax[fed.dims[0]].index.dtype == local["cluster_id"].dtype
+
+    def test_mixed_dim_types_keep_their_dtypes(self, spark):
+        pdf = pd.DataFrame(
+            {
+                "cluster_id": np.repeat(np.arange(3, dtype="int64"), 4),
+                "a": np.arange(12, dtype="int64") % 5,
+                "b": np.linspace(0.0, 2.75, 12),
+            }
+        )
+        meta = build_metadata(spark.createDataFrame(pdf), dims=["a", "b"], S=4)
+        assert_metadata_equal(meta, reference_metadata(pdf, ["a", "b"], 4))
+        assert meta.minmax["a"]["vmin"].dtype == np.int64
+        assert meta.minmax["b"]["vmax"].dtype == np.float64
+
+
+class TestDegenerateInputs:
+    def test_no_dims_rejected(self, clustered):
+        _, sdf = clustered
+        with pytest.raises(ValueError, match="at least one dimension"):
+            build_metadata(sdf, dims=[], S=80)
+
+    def test_empty_table_gives_empty_metadata(self, clustered):
+        _, sdf = clustered
+        meta = build_metadata(sdf.limit(0), dims=DIMS, S=80)
+        assert meta.n_clusters == 0
+        assert meta.rgeq == {} and meta.n_rows == {}
+        assert meta.cluster_ids.size == 0
+        for d in DIMS:
+            assert meta.minmax[d].empty
+            assert list(meta.minmax[d].columns) == ["vmin", "vmax"]
+            assert meta.minmax[d].index.dtype == np.int64
+        assert meta.size_bytes() == 0
+
+    @pytest.mark.parametrize(
+        "ranges", [{"age": (10, 50), "hours": (0, 98)}, {}], ids=["ranges", "full"]
+    )
+    def test_empty_table_gives_empty_cq(self, clustered, ranges):
+        _, sdf = clustered
+        meta = build_metadata(sdf.limit(0), dims=DIMS, S=80)
+        cq = clusters_for_query(meta, RangeQuery(COUNT, ranges))
+        assert cq.size == 0 and cq.dtype == np.int64
+        ids, r = proportions(meta, RangeQuery(COUNT, ranges))
+        assert ids.size == 0 and r.size == 0
