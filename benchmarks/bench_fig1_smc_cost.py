@@ -8,21 +8,16 @@ calibrated wire model (see DESIGN.md §4).
 """
 from __future__ import annotations
 
-from statistics import mean
-
-from repro.experiments import smc_cost_simulation
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS
-
-COLS = ["query", "rows_shared", "smc_rows_s", "smc_results_s", "ratio"]
+from repro.experiments import run_artifact, save_artifact
 
 
 def test_fig1_smc_sharing_cost(benchmark, adult_fed_bench):
     def run():
-        return smc_cost_simulation(adult_fed_bench, ADULT_DIMS, n_queries=5, seed=10)
+        return run_artifact("fig1", lambda name, sf: adult_fed_bench)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_results("fig1_smc_cost", format_table(rows, COLS))
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig1", tables)
+    (rows,) = tables
 
     # result sharing is constant and ~0.04 s; row-sharing cost grows with
     # the rows shared and reaches >100× on the larger queries

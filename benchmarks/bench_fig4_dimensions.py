@@ -7,31 +7,18 @@ budget; documented in EXPERIMENTS.md).
 """
 from __future__ import annotations
 
-from repro.experiments import dimension_sweep
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS
-
-M = 6
-COLS = ["dataset", "n_dims", "agg", "rel_err", "speedup"]
+from repro.experiments import run_artifact, save_artifact
 
 
 def test_fig4_dimension_analysis(benchmark, adult_fed_bench, amazon_fed_bench):
-    def run():
-        rows = []
-        for r in dimension_sweep(
-            adult_fed_bench, ADULT_DIMS, n_dims_list=[2, 3, 4, 5, 6, 7],
-            m=M, sr=0.20, seed=40,
-        ):
-            rows.append({"dataset": "adult-lite", **r})
-        for r in dimension_sweep(
-            amazon_fed_bench, AMAZON_DIMS, n_dims_list=[2, 3, 4, 5],
-            m=M, sr=0.05, seed=41,
-        ):
-            rows.append({"dataset": "amazon-lite", **r})
-        return rows
+    feds = {"adult": adult_fed_bench, "amazon": amazon_fed_bench}
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_results("fig4_dimensions", format_table(rows, COLS))
+    def run():
+        return run_artifact("fig4", lambda name, sf: feds[name])
+
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig4", tables)
+    (rows,) = tables
     # the Fig 4 shape: fewer dims ⇒ lower error (check the extremes, COUNT)
     by = {(r["dataset"], r["n_dims"], r["agg"]): r["rel_err"] for r in rows}
     assert by[("amazon-lite", 2, "COUNT")] < 0.25

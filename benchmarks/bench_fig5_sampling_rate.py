@@ -4,30 +4,18 @@ Paper settings: m=100, n=4, sr ∈ {5, 10, 15, 20}%, ε=1. We use m=6/cell.
 """
 from __future__ import annotations
 
-from repro.experiments import sampling_rate_sweep
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS
-
-RATES = [0.05, 0.10, 0.15, 0.20]
-M = 6
-COLS = ["dataset", "sr", "agg", "rel_err", "speedup"]
+from repro.experiments import run_artifact, save_artifact
 
 
 def test_fig5_sampling_rate_analysis(benchmark, adult_fed_bench, amazon_fed_bench):
-    def run():
-        rows = []
-        for r in sampling_rate_sweep(
-            adult_fed_bench, ADULT_DIMS, rates=RATES, m=M, n_dims=4, seed=50
-        ):
-            rows.append({"dataset": "adult-lite", **r})
-        for r in sampling_rate_sweep(
-            amazon_fed_bench, AMAZON_DIMS, rates=RATES, m=M, n_dims=4, seed=51
-        ):
-            rows.append({"dataset": "amazon-lite", **r})
-        return rows
+    feds = {"adult": adult_fed_bench, "amazon": amazon_fed_bench}
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_results("fig5_sampling_rate", format_table(rows, COLS))
+    def run():
+        return run_artifact("fig5", lambda name, sf: feds[name])
+
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig5", tables)
+    (rows,) = tables
     # trend check: higher sr must not increase error much on the big dataset
     count_rows = [
         r for r in rows if r["dataset"] == "amazon-lite" and r["agg"] == "COUNT"

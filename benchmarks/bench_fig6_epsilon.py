@@ -5,30 +5,18 @@ We use m=6/cell.
 """
 from __future__ import annotations
 
-from repro.experiments import epsilon_sweep
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS
-
-EPS = [0.1, 0.4, 0.7, 1.0, 1.3]
-M = 6
-COLS = ["dataset", "eps", "agg", "rel_err", "speedup"]
+from repro.experiments import run_artifact, save_artifact
 
 
 def test_fig6_epsilon_analysis(benchmark, adult_fed_bench, amazon_fed_bench):
-    def run():
-        rows = []
-        for r in epsilon_sweep(
-            adult_fed_bench, ADULT_DIMS, eps_list=EPS, m=M, sr=0.10, seed=60
-        ):
-            rows.append({"dataset": "adult-lite", **r})
-        for r in epsilon_sweep(
-            amazon_fed_bench, AMAZON_DIMS, eps_list=EPS, m=M, sr=0.05, seed=61
-        ):
-            rows.append({"dataset": "amazon-lite", **r})
-        return rows
+    feds = {"adult": adult_fed_bench, "amazon": amazon_fed_bench}
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_results("fig6_epsilon", format_table(rows, COLS))
+    def run():
+        return run_artifact("fig6", lambda name, sf: feds[name])
+
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig6", tables)
+    (rows,) = tables
     # the canonical DP trend on the big dataset: ε=0.1 worse than ε=1.3
     ama = [r for r in rows if r["dataset"] == "amazon-lite" and r["agg"] == "COUNT"]
     assert ama[0]["rel_err"] >= ama[-1]["rel_err"] - 0.02

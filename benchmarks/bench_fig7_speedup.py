@@ -12,73 +12,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import dimension_sweep, epsilon_sweep
-from repro.federation.builder import build_federation
-from repro.reporting import format_table, save_results
-from repro.synth_data import AMAZON_DIMS, amazon_tensor
-
-M = 4
-COLS_D = ["axis", "n_dims", "agg", "rel_err", "speedup"]
-COLS_E = ["axis", "eps", "agg", "rel_err", "speedup"]
-COLS_S = ["sf", "tensor_rows", "agg", "rel_err", "speedup"]
-
-
-def _amazon_store_fed(spark, tmp_path_factory, sf: float):
-    return build_federation(
-        spark,
-        amazon_tensor(sf=sf, seed=11),
-        dims=list(AMAZON_DIMS),
-        n_providers=4,
-        cluster_frac=0.005,
-        n_min=10,
-        store_root=str(tmp_path_factory.mktemp(f"amazon_store_sf{sf}")),
-        seed=1,
-    )
+from repro.experiments import build, run_artifact, save_artifact
 
 
 @pytest.fixture(scope="module")
 def amazon_fed_big(spark, tmp_path_factory):
-    return _amazon_store_fed(spark, tmp_path_factory, 1.0)
+    return build(spark, "amazon", sf=1.0, store_root=str(tmp_path_factory.mktemp("amazon_sf1")))
 
 
 @pytest.fixture(scope="module")
 def amazon_fed_small(spark, tmp_path_factory):
-    return _amazon_store_fed(spark, tmp_path_factory, 0.1)
+    return build(spark, "amazon", sf=0.1, store_root=str(tmp_path_factory.mktemp("amazon_sf0.1")))
 
 
 def test_fig7_speedup(benchmark, amazon_fed_big, amazon_fed_small, amazon_fed_bench):
-    def run():
-        rows = []
-        for r in dimension_sweep(
-            amazon_fed_big, AMAZON_DIMS, n_dims_list=[2, 3, 4, 5],
-            m=M, sr=0.05, seed=70,
-        ):
-            rows.append({"axis": "dims", **r})
-        for r in epsilon_sweep(
-            amazon_fed_big, AMAZON_DIMS, eps_list=[0.1, 0.7, 1.3],
-            m=M, sr=0.05, n_dims=4, seed=71,
-        ):
-            rows.append({"axis": "eps", **r})
-        # scale sweep: same workload shape at SF = 0.1 / 0.5 / 1.0
-        for sf, fed in ((0.1, amazon_fed_small), (0.5, amazon_fed_bench), (1.0, amazon_fed_big)):
-            for r in dimension_sweep(
-                fed, AMAZON_DIMS, n_dims_list=[4], m=M, sr=0.05, seed=72
-            ):
-                rows.append(
-                    {"axis": "scale", "sf": sf, "tensor_rows": len(fed.tensor), **r}
-                )
-        return rows
+    feds = {0.1: amazon_fed_small, 0.5: amazon_fed_bench, 1.0: amazon_fed_big}
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    dim_rows = [r for r in rows if r["axis"] == "dims"]
-    eps_rows = [r for r in rows if r["axis"] == "eps"]
-    scale_rows = [r for r in rows if r["axis"] == "scale"]
-    text = (
-        format_table(dim_rows, COLS_D)
-        + "\n\n" + format_table(eps_rows, COLS_E)
-        + "\n\n" + format_table(scale_rows, COLS_S)
-    )
-    save_results("fig7_speedup", text)
+    def run():
+        return run_artifact("fig7", lambda name, sf: feds[sf])
+
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig7", tables)
+    dim_rows, eps_rows, scale_rows = tables
 
     # shape: approximation faster than exact at the big scale ...
     assert min(r["speedup"] for r in dim_rows) > 1.0

@@ -10,21 +10,16 @@ from __future__ import annotations
 
 from statistics import mean
 
-from repro.experiments import smc_comparison
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS
-
-COLS = ["query", "mode", "noise_lo", "noise_hi", "noise_spread", "speedup"]
+from repro.experiments import run_artifact, save_artifact
 
 
 def test_fig8_smc_vs_dp(benchmark, adult_fed_bench):
     def run():
-        return smc_comparison(
-            adult_fed_bench, ADULT_DIMS, n_queries=5, reps=5, sr=0.1, seed=80
-        )
+        return run_artifact("fig8", lambda name, sf: adult_fed_bench)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_results("fig8_smc_vs_dp", format_table(rows, COLS))
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("fig8", tables)
+    (rows,) = tables
 
     smc = [r for r in rows if r["mode"] == "SMC"]
     dp = [r for r in rows if r["mode"] == "DP"]

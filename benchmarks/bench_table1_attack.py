@@ -25,52 +25,16 @@ asserted by tests/test_evaluation.py).
 """
 from __future__ import annotations
 
-from repro.attack.nbc import AttackSpec
-from repro.core.query import COUNT
-from repro.experiments import attack_table
-from repro.reporting import format_table, save_results
-from repro.synth_data import ADULT_DIMS
-
-XI = [1.0, 20.0, 50.0, 100.0]
-
-QI = ("education", "workclass", "relationship")
-_DOMS = {d: ADULT_DIMS[d] for d in QI}
-
-SPEC_PAPER = AttackSpec(
-    sa_dim="fnlwgt", qi_dims=QI, domains={"fnlwgt": ADULT_DIMS["fnlwgt"], **_DOMS}
-)
-SPEC_CORRELATED = AttackSpec(
-    sa_dim="capgain", qi_dims=QI, domains={"capgain": ADULT_DIMS["capgain"], **_DOMS}
-)
-
-COLS = ["mode", "agg"] + [f"xi={x:g}" for x in XI]
+from repro.experiments import SPEC_PAPER, XI, run_artifact, save_artifact
 
 
 def test_table1_attack_resilience(benchmark, attack_fed_pandas):
     def run():
-        primary = attack_table(
-            attack_fed_pandas, SPEC_PAPER, xi_list=XI, psi=1e-6, sr=0.1, seed=90
-        )
-        supplementary = attack_table(
-            attack_fed_pandas,
-            SPEC_CORRELATED,
-            xi_list=XI,
-            psi=1e-6,
-            sr=0.1,
-            seed=91,
-            modes=("sequential", "coalition"),
-            aggs=(COUNT,),
-        )
-        return primary, supplementary
+        return run_artifact("table1", lambda name, sf: attack_fed_pandas)
 
-    primary, supplementary = benchmark.pedantic(run, rounds=1, iterations=1)
-    text = (
-        "Primary (paper regime, SA=fnlwgt):\n"
-        + format_table(primary, COLS)
-        + "\n\nSupplementary (correlated SA=capgain):\n"
-        + format_table(supplementary, COLS)
-    )
-    save_results("table1_attack", text)
+    tables = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_artifact("table1", tables)
+    primary, supplementary = tables
 
     random_level = 1.0 / SPEC_PAPER.sa_domain
     private = [p for p in primary if p["mode"] in ("sequential", "advanced", "coalition")]

@@ -1,67 +1,34 @@
-"""Benchmark-scale fixtures (SF=0.1), built once per session.
+"""Benchmark-scale fixtures, built once per session from
+``repro.experiments.DATASETS``: adult-lite at SF=1 (4M tensor rows),
+amazon-lite at SF=0.5 (8M rows) and the Table 1 attack federation at
+SF=0.01 (40k rows, pandas evaluators).
 
-Both federations are backed by cluster-partitioned parquet stores so that
-approximate queries do genuinely pruned I/O and the exact baseline pays a
-full scan — the regime the paper's speed-ups are measured in.
+adult-lite and amazon-lite are backed by cluster-partitioned parquet stores
+so that approximate queries do genuinely pruned I/O and the exact baseline
+pays a full scan — the regime the paper's speed-ups are measured in.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.federation.builder import Federation, build_federation
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS, adult_tensor, amazon_tensor
-
-# Accuracy at the paper's regime needs the paper's data scale: the smooth-
-# sensitivity noise is roughly size-independent (~#clusters), so relative
-# error is noise/answer — running adult-lite at SF=1 (4M tensor rows ≈ the
-# paper's scaled Adult) and amazon-lite at SF=0.5 (8M rows) puts answers in
-# the paper's answer-to-noise regime while staying laptop-feasible.
-ADULT_SF = 1.0  # 4M tensor rows — the paper's Adult scale
-AMAZON_SF = 0.5  # 8M tensor rows — the "big" dataset
-ATTACK_SF = 0.01  # 40k rows: Table 1 needs ~10^4 queries per cell
+from repro.experiments import build
+from repro.federation.builder import Federation
 
 
 @pytest.fixture(scope="session")
 def adult_fed_bench(spark, tmp_path_factory) -> Federation:
-    return build_federation(
-        spark,
-        adult_tensor(sf=ADULT_SF, seed=7),
-        dims=list(ADULT_DIMS),
-        n_providers=4,
-        cluster_frac=0.01,  # paper: S = 1% of provider tensor
-        n_min=10,
-        store_root=str(tmp_path_factory.mktemp("adult_store")),
-        seed=0,
-    )
+    return build(spark, "adult", store_root=str(tmp_path_factory.mktemp("adult_store")))
 
 
 @pytest.fixture(scope="session")
 def amazon_fed_bench(spark, tmp_path_factory) -> Federation:
-    return build_federation(
-        spark,
-        amazon_tensor(sf=AMAZON_SF, seed=11),
-        dims=list(AMAZON_DIMS),
-        n_providers=4,
-        cluster_frac=0.005,  # paper: S = 0.5% of provider tensor
-        n_min=10,
-        store_root=str(tmp_path_factory.mktemp("amazon_store")),
-        seed=1,
-    )
+    return build(spark, "amazon", store_root=str(tmp_path_factory.mktemp("amazon_store")))
 
 
 @pytest.fixture(scope="session")
 def attack_fed_pandas(spark) -> Federation:
-    fed = build_federation(
-        spark,
-        adult_tensor(sf=ATTACK_SF, seed=7),
-        dims=list(ADULT_DIMS),
-        n_providers=4,
-        cluster_frac=0.01,
-        n_min=10,
-        seed=0,
-    )
-    return fed.with_pandas_evaluators()
+    return build(spark, "attack")
 
 
 @pytest.fixture()

@@ -1,38 +1,24 @@
 """spark-submit entrypoint: answer one private approximate range query.
 
+The federation is built as ``repro.experiments.DATASETS`` specifies.
+
 Example:
-    spark-submit jobs/run_query.py --dataset adult --sf 0.01 \
+    PYTHONPATH=src spark-submit jobs/run_query.py --dataset adult --sf 0.01 \
         --agg COUNT --range age:10:50 --range education:2:12 \
         --sr 0.1 --eps 1.0 --smc
 """
 from __future__ import annotations
 
 import argparse
+import shutil
+import tempfile
 
 import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.exact import exact_federated
 from repro.core.query import RangeQuery
-from repro.federation.builder import build_federation
-from repro.synth_data import ADULT_DIMS, AMAZON_DIMS, adult_tensor, amazon_tensor
-
-DATASETS = {
-    "adult": (adult_tensor, ADULT_DIMS, 0.01),
-    "amazon": (amazon_tensor, AMAZON_DIMS, 0.005),
-}
-
-
-def build(spark: SparkSession, dataset: str, sf: float, n_providers: int, n_min: int):
-    gen, dims, cluster_frac = DATASETS[dataset]
-    return build_federation(
-        spark,
-        gen(sf=sf),
-        dims=list(dims),
-        n_providers=n_providers,
-        cluster_frac=cluster_frac,
-        n_min=n_min,
-    )
+from repro.experiments import DATASETS, build
 
 
 def parse_range(spec: str) -> tuple[str, tuple[int, int]]:
@@ -49,14 +35,13 @@ def main() -> None:
     ap.add_argument("--sr", type=float, default=0.1)
     ap.add_argument("--eps", type=float, default=1.0)
     ap.add_argument("--delta", type=float, default=1e-3)
-    ap.add_argument("--n-providers", type=int, default=4)
-    ap.add_argument("--n-min", type=int, default=10)
     ap.add_argument("--smc", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     spark = SparkSession.builder.appName("repro-run-query").getOrCreate()
-    fed = build(spark, args.dataset, args.sf, args.n_providers, args.n_min)
+    store_root = tempfile.mkdtemp(prefix="repro_stores_")
+    fed = build(spark, args.dataset, sf=args.sf, store_root=store_root)
     query = RangeQuery(args.agg, dict(parse_range(r) for r in args.range))
 
     exact = exact_federated(fed.aggregator, query)
@@ -76,6 +61,7 @@ def main() -> None:
     print(f"speed-up         : {exact.seconds / max(ans.seconds, 1e-9):.2f}x")
     print(f"allocations      : {ans.allocations.tolist()}  (smc={ans.used_smc})")
     spark.stop()
+    shutil.rmtree(store_root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.estimator import hansen_hurwitz
-from repro.core.proportions import sampling_probabilities
 from repro.core.query import RangeQuery
-from repro.federation.provider import DataProvider
+from repro.federation.provider import DataProvider, QueryContext
+
+
+def _pps_estimate(
+    provider: DataProvider, ctx: QueryContext, s: int, rng: np.random.Generator
+) -> float:
+    """Hansen–Hurwitz estimate from s plain PPS draws (Eq 1), no DP."""
+    idx = rng.choice(ctx.n_q, size=s, replace=True, p=ctx.p)
+    return provider.sample(ctx, idx).estimate
 
 
 def local_sampling_estimate(
@@ -35,13 +41,7 @@ def local_sampling_estimate(
         ctx = p.prepare(query)
         if ctx.n_q == 0:
             continue
-        s = max(1, int(round(sampling_rate * ctx.n_q)))
-        probs = sampling_probabilities(ctx.r)
-        idx = rng.choice(ctx.n_q, size=s, replace=True, p=probs)
-        sampled = ctx.cluster_ids[idx]
-        q_by_cluster = p.evaluator.per_cluster(query, sampled)
-        q = np.array([q_by_cluster.get(int(c), 0.0) for c in sampled])
-        total += hansen_hurwitz(q, probs[idx])
+        total += _pps_estimate(p, ctx, max(1, int(round(sampling_rate * ctx.n_q))), rng)
     return float(total)
 
 
@@ -67,11 +67,5 @@ def global_sampling_estimate(
     for p, ctx, s in zip(providers, contexts, alloc):
         if ctx.n_q == 0:
             continue
-        s = int(np.clip(s, 1, ctx.n_q))
-        probs = sampling_probabilities(ctx.r)
-        idx = rng.choice(ctx.n_q, size=s, replace=True, p=probs)
-        sampled = ctx.cluster_ids[idx]
-        q_by_cluster = p.evaluator.per_cluster(query, sampled)
-        q = np.array([q_by_cluster.get(int(c), 0.0) for c in sampled])
-        total += hansen_hurwitz(q, probs[idx])
+        total += _pps_estimate(p, ctx, int(np.clip(s, 1, ctx.n_q)), rng)
     return float(total)

@@ -1,24 +1,34 @@
-"""Evaluation-section experiment drivers (§6), shared by jobs/ and benchmarks/.
+"""Evaluation-section experiments (§6), shared by jobs/ and benchmarks/.
 
-Each function reproduces one paper artifact's numbers and returns printable
-rows; the caller decides scale (SF), workload size m, and where to persist.
-Metrics follow §6.1: Relative error = |answer − estimation| / answer and
-Speed-up = time(normal computation) / time(estimate computation).
+The driver functions reproduce one kind of paper artifact each and return
+printable rows. ``DATASETS`` and ``ARTIFACTS`` hold the one copy of every
+artifact's parameters: how each federation is built, which drivers run on
+it with which arguments, and where and how the rows are saved.
+``jobs/run_experiment.py`` and the ``benchmarks/`` harnesses both run an
+artifact through :func:`run_artifact` and persist it with
+:func:`save_artifact`. Metrics follow §6.1: Relative error =
+|answer − estimation| / answer and Speed-up = time(normal computation) /
+time(estimate computation).
 """
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from statistics import mean
+from typing import Callable
 
 import numpy as np
+import pandas as pd
+from pyspark.sql import SparkSession
 
 from repro.attack.nbc import AttackSpec, per_query_eps, train_nbc
 from repro.baselines.exact import exact_federated
 from repro.core.query import COUNT, SUM, RangeQuery
-from repro.federation.builder import Federation
+from repro.federation.builder import Federation, build_federation
+from repro.reporting import format_table, save_results
 from repro.smc.protocol import SMCEnvironment
+from repro.synth_data import ADULT_DIMS, AMAZON_DIMS, adult_tensor, amazon_tensor
 from repro.workloads import qualifying_workload
-
 
 def _cell(
     fed: Federation,
@@ -253,3 +263,240 @@ def attack_table(
         )
     rows.append({"mode": f"(total {time.perf_counter() - t0:.0f}s)", "agg": ""})
     return rows
+
+
+def metadata_space(fed: Federation) -> list[dict]:
+    """§6.1 metadata space: the Algorithm 1 footprint over all providers."""
+    total = sum(p.meta.size_bytes() for p in fed.providers)
+    clusters = sum(p.meta.n_clusters for p in fed.providers)
+    return [
+        {
+            "clusters": clusters,
+            "S": fed.S,
+            "metadata_mb": total / 2**20,
+            "kb_per_cluster": total / 1024 / clusters,
+        }
+    ]
+
+
+# --------------------------------------------------------------------------
+# The artifact table
+# --------------------------------------------------------------------------
+
+N_PROVIDERS = 4
+N_MIN = 10
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """How one evaluation federation is built."""
+
+    label: str
+    generator: Callable[..., pd.DataFrame]
+    dims: dict[str, int]
+    sf: float
+    seed: int  # tensor seed
+    cluster_frac: float  # S as a fraction of one provider's rows
+    fed_seed: int
+    store: bool  # cluster-partitioned parquet stores: pruned sampled reads
+    pandas: bool = False  # driver-side evaluators, for ~10^4 queries per cell
+
+
+# Accuracy at the paper's regime needs the paper's data scale: the smooth-
+# sensitivity noise is roughly size-independent (~#clusters), so relative
+# error is noise/answer. adult-lite at SF=1 (4M tensor rows ≈ the paper's
+# scaled Adult) and amazon-lite at SF=0.5 (8M rows) put answers in the
+# paper's answer-to-noise regime while staying laptop-feasible. S is 1% of a
+# provider's rows for Adult and 0.5% for Amazon Review, as in the paper.
+DATASETS: dict[str, Dataset] = {
+    "adult": Dataset("adult-lite", adult_tensor, ADULT_DIMS, sf=1.0, seed=7,
+                     cluster_frac=0.01, fed_seed=0, store=True),
+    "amazon": Dataset("amazon-lite", amazon_tensor, AMAZON_DIMS, sf=0.5, seed=11,
+                      cluster_frac=0.005, fed_seed=1, store=True),
+    "attack": Dataset("adult-lite", adult_tensor, ADULT_DIMS, sf=0.01, seed=7,
+                      cluster_frac=0.01, fed_seed=0, store=False, pandas=True),
+}
+
+
+def build(
+    spark: SparkSession, name: str, *, sf: float | None = None, store_root: str | None = None
+) -> Federation:
+    """The federation of ``DATASETS[name]``, at its SF unless ``sf`` is given.
+    A store-backed dataset writes its parquet stores under ``store_root``."""
+    d = DATASETS[name]
+    if d.store and store_root is None:
+        raise ValueError(f"dataset {name!r} is store-backed: pass store_root")
+    fed = build_federation(
+        spark,
+        d.generator(sf=d.sf if sf is None else sf, seed=d.seed),
+        dims=list(d.dims),
+        n_providers=N_PROVIDERS,
+        cluster_frac=d.cluster_frac,
+        n_min=N_MIN,
+        store_root=store_root if d.store else None,
+        seed=d.fed_seed,
+    )
+    return fed.with_pandas_evaluators() if d.pandas else fed
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One driver call: ``fn(federation, **kwargs)``, its rows appended to
+    table ``table`` of the artifact."""
+
+    fn: Callable[..., list[dict]]
+    dataset: str
+    kwargs: dict = field(default_factory=dict)
+    table: int = 0
+    sf_scale: float = 1.0  # run at this multiple of the dataset's SF
+    tag: dict = field(default_factory=dict)  # constant columns of each row
+
+
+@dataclass(frozen=True)
+class Artifact:
+    result: str  # benchmark_results/<result>.md
+    tables: tuple[tuple[str, tuple[str, ...]], ...]  # (heading, columns) per table
+    sweeps: tuple[Sweep, ...]
+
+
+QI = ("education", "workclass", "relationship")
+XI = [1.0, 20.0, 50.0, 100.0]
+_XI_COLS = ("mode", "agg", *(f"xi={x:g}" for x in XI))
+
+
+def _attack_spec(sa: str) -> AttackSpec:
+    return AttackSpec(sa_dim=sa, qi_dims=QI, domains={d: ADULT_DIMS[d] for d in (sa, *QI)})
+
+
+# Table 1: SA = fnlwgt is near-uniform and independent of the QI dims, like
+# the paper's binned Adult SA; SA = capgain (education-driven) shows that the
+# attack works when the SA is correlated and that DP collapses it.
+SPEC_PAPER = _attack_spec("fnlwgt")
+SPEC_CORRELATED = _attack_spec("capgain")
+
+_RATES = [0.05, 0.10, 0.15, 0.20]
+_EPS = [0.1, 0.4, 0.7, 1.0, 1.3]
+_FIG7_SCALE = 2.0  # × amazon-lite's SF 0.5: Fig 7 runs at SF 1 (16M tensor rows)
+
+ARTIFACTS: dict[str, Artifact] = {
+    "table1": Artifact(
+        "table1_attack",
+        (
+            ("Primary (paper regime, SA=fnlwgt):", _XI_COLS),
+            ("Supplementary (correlated SA=capgain):", _XI_COLS),
+        ),
+        (
+            Sweep(attack_table, "attack",
+                  dict(spec=SPEC_PAPER, xi_list=XI, psi=1e-6, sr=0.1, seed=90)),
+            Sweep(attack_table, "attack",
+                  dict(spec=SPEC_CORRELATED, xi_list=XI, psi=1e-6, sr=0.1, seed=91,
+                       modes=("sequential", "coalition"), aggs=(COUNT,)),
+                  table=1),
+        ),
+    ),
+    "fig1": Artifact(
+        "fig1_smc_cost",
+        (("", ("query", "rows_shared", "smc_rows_s", "smc_results_s", "ratio")),),
+        (Sweep(smc_cost_simulation, "adult", dict(dims=ADULT_DIMS, n_queries=5, seed=10)),),
+    ),
+    # paper: m=100 queries per cell; m=6 (m=4 for Fig 7) keeps the wall clock
+    # within budget (EXPERIMENTS.md)
+    "fig4": Artifact(
+        "fig4_dimensions",
+        (("", ("dataset", "n_dims", "agg", "rel_err", "speedup")),),
+        (
+            Sweep(dimension_sweep, "adult",
+                  dict(dims=ADULT_DIMS, n_dims_list=[2, 3, 4, 5, 6, 7], m=6, sr=0.20, seed=40)),
+            Sweep(dimension_sweep, "amazon",
+                  dict(dims=AMAZON_DIMS, n_dims_list=[2, 3, 4, 5], m=6, sr=0.05, seed=41)),
+        ),
+    ),
+    "fig5": Artifact(
+        "fig5_sampling_rate",
+        (("", ("dataset", "sr", "agg", "rel_err", "speedup")),),
+        (
+            Sweep(sampling_rate_sweep, "adult",
+                  dict(dims=ADULT_DIMS, rates=_RATES, m=6, n_dims=4, seed=50)),
+            Sweep(sampling_rate_sweep, "amazon",
+                  dict(dims=AMAZON_DIMS, rates=_RATES, m=6, n_dims=4, seed=51)),
+        ),
+    ),
+    "fig6": Artifact(
+        "fig6_epsilon",
+        (("", ("dataset", "eps", "agg", "rel_err", "speedup")),),
+        (
+            Sweep(epsilon_sweep, "adult",
+                  dict(dims=ADULT_DIMS, eps_list=_EPS, m=6, sr=0.10, seed=60)),
+            Sweep(epsilon_sweep, "amazon",
+                  dict(dims=AMAZON_DIMS, eps_list=_EPS, m=6, sr=0.05, seed=61)),
+        ),
+    ),
+    # dims and ε axes at SF 1, plus a scale sweep (SF 0.1 / 0.5 / 1) showing
+    # that the speed-up grows with dataset size, as the paper observes (§6.3)
+    "fig7": Artifact(
+        "fig7_speedup",
+        (
+            ("", ("axis", "n_dims", "agg", "rel_err", "speedup")),
+            ("", ("axis", "eps", "agg", "rel_err", "speedup")),
+            ("", ("sf", "tensor_rows", "agg", "rel_err", "speedup")),
+        ),
+        (
+            Sweep(dimension_sweep, "amazon",
+                  dict(dims=AMAZON_DIMS, n_dims_list=[2, 3, 4, 5], m=4, sr=0.05, seed=70),
+                  sf_scale=_FIG7_SCALE, tag={"axis": "dims"}),
+            Sweep(epsilon_sweep, "amazon",
+                  dict(dims=AMAZON_DIMS, eps_list=[0.1, 0.7, 1.3], m=4, sr=0.05, n_dims=4,
+                       seed=71),
+                  table=1, sf_scale=_FIG7_SCALE, tag={"axis": "eps"}),
+            *(
+                Sweep(dimension_sweep, "amazon",
+                      dict(dims=AMAZON_DIMS, n_dims_list=[4], m=4, sr=0.05, seed=72),
+                      table=2, sf_scale=scale)
+                for scale in (0.2, 1.0, _FIG7_SCALE)
+            ),
+        ),
+    ),
+    # paper: 5 random two-dimensional COUNT queries, each repeated 5 times
+    "fig8": Artifact(
+        "fig8_smc_vs_dp",
+        (("", ("query", "mode", "noise_lo", "noise_hi", "noise_spread", "speedup")),),
+        (Sweep(smc_comparison, "adult",
+               dict(dims=ADULT_DIMS, n_queries=5, reps=5, sr=0.1, seed=80)),),
+    ),
+    "metadata": Artifact(
+        "metadata_space",
+        (("", ("dataset", "sf", "clusters", "S", "metadata_mb", "kb_per_cluster")),),
+        (Sweep(metadata_space, "adult"), Sweep(metadata_space, "amazon")),
+    ),
+}
+
+
+def run_artifact(
+    name: str,
+    fed: Callable[[str, float], Federation],
+    sf: float | None = None,
+) -> list[list[dict]]:
+    """The rows of each table of ``ARTIFACTS[name]``.
+
+    ``fed(dataset, sf)`` supplies the federation of a ``DATASETS`` entry at
+    scale factor ``sf``. ``sf`` replaces every dataset's own SF; a sweep's
+    ``sf_scale`` multiplies either."""
+    art = ARTIFACTS[name]
+    tables: list[list[dict]] = [[] for _ in art.tables]
+    for sw in art.sweeps:
+        d = DATASETS[sw.dataset]
+        sweep_sf = (d.sf if sf is None else sf) * sw.sf_scale
+        f = fed(sw.dataset, sweep_sf)
+        base = {"dataset": d.label, "sf": sweep_sf, "tensor_rows": len(f.tensor), **sw.tag}
+        tables[sw.table] += [base | r for r in sw.fn(f, **sw.kwargs)]
+    return tables
+
+
+def save_artifact(name: str, tables: list[list[dict]]) -> str:
+    """Format the tables of ``ARTIFACTS[name]`` and save them to its result file."""
+    art = ARTIFACTS[name]
+    text = "\n\n".join(
+        (f"{heading}\n" if heading else "") + format_table(rows, list(cols))
+        for (heading, cols), rows in zip(art.tables, tables)
+    )
+    return save_results(art.result, text)

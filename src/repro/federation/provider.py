@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class QueryContext:
     def avg_r(self) -> float:
         return float(self.r.mean()) if len(self.r) else 0.0
 
+    @cached_property
+    def p(self) -> np.ndarray:
+        """PPS probabilities (Eq 1), aligned with cluster_ids."""
+        return sampling_probabilities(self.r)
+
 
 @dataclass
 class Summary:
@@ -59,6 +65,23 @@ class Summary:
 
     noisy_n_q: float
     noisy_avg_r: float
+
+
+@dataclass
+class Sample:
+    """Clusters drawn from C^Q with replacement, with Q(C_i), p_i and R̂_i
+    per draw (step 5)."""
+
+    clusters: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    eval_seconds: float
+
+    @property
+    def estimate(self) -> float:
+        """Hansen–Hurwitz estimate of Q (Eq 3)."""
+        return hansen_hurwitz(self.q, self.p)
 
 
 @dataclass
@@ -133,6 +156,17 @@ class DataProvider:
         )
 
     # -- steps 5 + 6: EM sampling, HH estimation, smooth sensitivity ------
+    def sample(self, ctx: QueryContext, idx: np.ndarray) -> Sample:
+        """Evaluate Q on the clusters drawn at positions ``idx`` of C^Q:
+        the non-private core of steps 5–6, shared with the sampling
+        baselines, which draw ``idx`` without the Exponential Mechanism."""
+        clusters = ctx.cluster_ids[idx]
+        t0 = time.perf_counter()
+        q_by_cluster = self.evaluator.per_cluster(ctx.query, clusters)
+        eval_seconds = time.perf_counter() - t0
+        q = np.array([q_by_cluster.get(int(c), 0.0) for c in clusters])
+        return Sample(clusters, q, ctx.p[idx], ctx.r[idx], eval_seconds)
+
     def approximate(
         self,
         ctx: QueryContext,
@@ -148,22 +182,10 @@ class DataProvider:
         if ctx.n_q == 0:
             return LocalResult(0.0, 0.0, False, np.array([], dtype="int64"), 0.0)
         s = int(np.clip(s, 1, max(1, ctx.n_q)))
-        p = sampling_probabilities(ctx.r)
-        sampled = exponential_mechanism_sample(
-            ctx.cluster_ids, p, sens.delta_p(self.n_min), eps_s, s, rng
+        idx = exponential_mechanism_sample(
+            np.arange(ctx.n_q), ctx.p, sens.delta_p(self.n_min), eps_s, s, rng
         )
-
-        t0 = time.perf_counter()
-        q_by_cluster = self.evaluator.per_cluster(ctx.query, sampled)
-        eval_seconds = time.perf_counter() - t0
-
-        p_by_cluster = dict(zip(ctx.cluster_ids.tolist(), p.tolist()))
-        q_draws = np.array([q_by_cluster.get(int(c), 0.0) for c in sampled])
-        p_draws = np.array([p_by_cluster[int(c)] for c in sampled])
-        r_draws = np.array(
-            [ctx.r[np.searchsorted(ctx.cluster_ids, int(c))] for c in sampled]
-        )
-        estimate = hansen_hurwitz(q_draws, p_draws)
+        sample = self.sample(ctx, idx)
 
         n_dims = max(1, len(ctx.query.ranges))
         s_ls = [
@@ -177,14 +199,14 @@ class DataProvider:
                 eps=eps_e,
                 delta=delta,
             )
-            for q, r, pp in zip(q_draws, r_draws, p_draws)
+            for q, r, pp in zip(sample.q, sample.r, sample.p)
         ]
         return LocalResult(
-            estimate=estimate,
+            estimate=sample.estimate,
             smooth_ls=float(np.mean(s_ls)),
             exact_path=False,
-            sampled_clusters=sampled,
-            eval_seconds=eval_seconds,
+            sampled_clusters=sample.clusters,
+            eval_seconds=sample.eval_seconds,
         )
 
     def release(self, result: LocalResult, eps_e: float, rng: np.random.Generator) -> float:

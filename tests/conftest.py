@@ -1,7 +1,9 @@
 """Shared fixtures: small deterministic federations built once per session.
 
 Scale: SF chosen so each dataset is ~8k tensor rows (unit-test scale per the
-repo conventions); the benchmark suite rebuilds at SF=0.1.
+repo conventions); the benchmarks build the federations of
+``repro.experiments.DATASETS`` instead (adult-lite SF=1, amazon-lite SF=0.5,
+the attack federation SF=0.01).
 """
 from __future__ import annotations
 

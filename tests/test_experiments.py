@@ -1,7 +1,8 @@
 """Tests for the §6 experiment drivers (structure + trend sanity).
 
 Runs at unit scale on the pandas-evaluator federation so the whole module
-stays fast; the benchmark suite runs the same drivers at SF=0.1.
+stays fast; the benchmarks run the same drivers at the scales of
+``repro.experiments.DATASETS`` (SF=1 / 0.5 / 0.01).
 """
 from __future__ import annotations
 

@@ -1,27 +1,23 @@
 """Inject benchmark_results/*.md tables into EXPERIMENTS.md placeholders.
 
-Run after `pytest benchmarks/ --benchmark-only`:
-    python tools/assemble_experiments.py
+Run after `pytest benchmarks/ --benchmark-only` (or `jobs/run_experiment.py`):
+    PYTHONPATH=src python tools/assemble_experiments.py
+
+Every artifact of ``repro.experiments.ARTIFACTS`` has the placeholder
+``<NAME>_RESULTS`` for its result file.
 """
 from __future__ import annotations
 
 import os
 import re
 
+from repro.experiments import ARTIFACTS
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(ROOT, "benchmark_results")
 TARGET = os.path.join(ROOT, "EXPERIMENTS.md")
 
-PLACEHOLDERS = {
-    "TABLE1_RESULTS": "table1_attack.md",
-    "FIG1_RESULTS": "fig1_smc_cost.md",
-    "FIG4_RESULTS": "fig4_dimensions.md",
-    "FIG5_RESULTS": "fig5_sampling_rate.md",
-    "FIG6_RESULTS": "fig6_epsilon.md",
-    "FIG7_RESULTS": "fig7_speedup.md",
-    "FIG8_RESULTS": "fig8_smc_vs_dp.md",
-    "METADATA_RESULTS": "metadata_space.md",
-}
+PLACEHOLDERS = {f"{name.upper()}_RESULTS": f"{a.result}.md" for name, a in ARTIFACTS.items()}
 
 
 def main() -> None:
