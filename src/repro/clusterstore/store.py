@@ -5,13 +5,19 @@ blocks) and that sampling s of N clusters reads only s clusters' worth of
 I/O. We reproduce that with parquet partitioned by ``cluster_id``: a filter
 on ``cluster_id`` is satisfied by Catalyst partition-directory pruning, so
 an approximate query physically touches only the sampled clusters while the
-exact baseline scans every directory.
+exact baseline scans every directory. The provider writes its clustered
+pandas frame with pyarrow as Hive-style ``cluster_id=<k>/`` directories;
+Spark reads the store back and prunes it.
 """
 from __future__ import annotations
 
 import os
+import shutil
 from collections.abc import Iterable
 
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -26,13 +32,19 @@ class ClusterStore:
         self._df: DataFrame | None = None  # memoized scan plan (file index)
 
     @classmethod
-    def write(cls, df: DataFrame, path: str) -> "ClusterStore":
-        """Persist a provider table (must carry ``cluster_id``)."""
-        (
-            df.repartition("cluster_id")
-            .write.mode("overwrite")
-            .partitionBy("cluster_id")
-            .parquet(path)
+    def write(cls, pdf: pd.DataFrame, path: str) -> "ClusterStore":
+        """Persist a provider table (must carry ``cluster_id``), replacing
+        whatever store was at ``path``."""
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        # Dropping the pandas schema note saves ~3 KB in every file's footer.
+        table = pa.Table.from_pandas(pdf, preserve_index=False).replace_schema_metadata()
+        pq.write_to_dataset(
+            table,
+            path,
+            partition_cols=["cluster_id"],
+            # pyarrow's default cap is 1024 directories; a store has one per cluster
+            max_partitions=max(1, pdf["cluster_id"].nunique()),
         )
         return cls(path)
 

@@ -1,15 +1,16 @@
-"""Offline cluster metadata construction (Algorithm 1) as a Spark job.
+"""Offline cluster metadata construction (Algorithm 1) in numpy.
 
 For each cluster ``C`` and dimension ``d`` the data-level metadata stores the
 step function ``R^{d>=}(v) = |rows of C with d >= v| / S`` at every distinct
 value ``v`` of ``d`` in ``C``; the global metadata stores per-cluster
-``(v_min^d, v_max^d)`` for pruning (Eq 2). Built from one Spark scan per
-provider: the dimensions are stacked into ``(cluster_id, dim, value)`` rows
-and one groupBy counts each distinct value, collected once through Arrow.
-The driver turns the counts into cumulative counts with a segmented reverse
-cumulative sum per (cluster, dim) in numpy — the paper stores this as small
-per-cluster meta files (~tens of KB per cluster), so driver-side
-pandas/numpy lookup is the faithful analogue.
+``(v_min^d, v_max^d)`` for pruning (Eq 2). Algorithm 1 is an offline pass
+each provider runs over its own clustered table, so it is built on the
+driver from the provider's clustered pandas frame, with no Spark job: one
+sort per dimension counts each distinct (cluster, value) pair, and a
+segmented reverse cumulative sum per (cluster, dim) turns the counts into
+cumulative counts. The paper stores the result as small per-cluster meta
+files (~tens of KB per cluster), so driver-side pandas/numpy lookup is the
+faithful analogue.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.pandas.types import to_arrow_schema
 
 
 @dataclass
@@ -68,42 +67,38 @@ class ProviderMetadata:
         return int(total)
 
 
-def build_metadata(df: DataFrame, *, dims: list[str], S: int) -> ProviderMetadata:
-    """Run Algorithm 1 over a provider table (must carry ``cluster_id``).
+def build_metadata(pdf: pd.DataFrame, *, dims: list[str], S: int) -> ProviderMetadata:
+    """Run Algorithm 1 over a provider's clustered frame (must carry ``cluster_id``).
 
-    One Spark aggregation scans the table once: every dimension is stacked
-    into ``(cluster_id, dim, value)`` rows and grouped into distinct-value
-    counts, collected through Arrow. The driver sorts the counts by
-    (cluster, dim, value); a reverse cumulative sum within each
+    For each dimension one sort by (cluster, value) counts the distinct
+    values of every cluster. The counts of all dimensions are laid end to
+    end, dimension by dimension; a reverse cumulative sum within each
     (cluster, dim) segment gives ``cnt_geq``, the segment's first and last
-    values are the cluster's ``(vmin, vmax)``, and one dimension's counts sum
-    to the cluster's row count.
+    values are the cluster's ``(vmin, vmax)``, and one dimension's counts
+    sum to the cluster's row count.
     """
     if S <= 0:
         raise ValueError("cluster size S must be positive")
     if not dims:
         raise ValueError("metadata needs at least one dimension")
+    if "cluster_id" not in pdf.columns:
+        raise ValueError("metadata needs a cluster_id column")
     dims = list(dims)
-    schema = to_arrow_schema(df.select("cluster_id", *dims).schema)
-    # stack() needs one type for every stacked column; mixed dims widen to
-    # double and their (vmin, vmax) are cast back to each dim's own type.
-    same_type = len({schema.field(d).type for d in dims}) == 1
-    stacked_cols = ", ".join(
-        f"{i}, `{d}`" if same_type else f"{i}, CAST(`{d}` AS DOUBLE)"
-        for i, d in enumerate(dims)
-    )
-    counts = (
-        df.selectExpr("cluster_id", f"stack({len(dims)}, {stacked_cols}) AS (dim, value)")
-        .groupBy("cluster_id", "dim", "value")
-        .count()
-        .toArrow()
-    )
-    cid = counts.column("cluster_id").to_numpy()
-    dim = counts.column("dim").to_numpy()
-    value = counts.column("value").to_numpy()
-    cnt = counts.column("count").to_numpy()
-    order = np.lexsort((value, dim, cid))
-    cid, dim, value, cnt = cid[order], dim[order], value[order], cnt[order]
+    cluster_col = pdf["cluster_id"].to_numpy()
+    counted = []  # per dim: (cluster, value, count) of each distinct pair
+    for d in dims:
+        v = pdf[d].to_numpy()
+        order = np.lexsort((v, cluster_col))
+        c, v = cluster_col[order], v[order]
+        new = np.concatenate([[len(c) > 0], (c[1:] != c[:-1]) | (v[1:] != v[:-1])])
+        first = np.flatnonzero(new)
+        counted.append((c[first], v[first], np.diff(np.append(first, len(c)))))
+    cid = np.concatenate([c for c, _, _ in counted])
+    dim = np.repeat(np.arange(len(dims)), [len(c) for c, _, _ in counted])
+    # Mixed dims widen to a common type here; their (vmin, vmax) are cast
+    # back to each dim's own dtype below.
+    value = np.concatenate([v for _, v, _ in counted])
+    cnt = np.concatenate([n for _, _, n in counted])
 
     # Segment = one (cluster, dim); starts[k]:ends[k] are its rows. Built
     # from boundary masks so that an empty table gives no segments.
@@ -127,7 +122,7 @@ def build_metadata(df: DataFrame, *, dims: list[str], S: int) -> ProviderMetadat
     for k, d in enumerate(dims):
         in_dim = seg_dim == k
         index = pd.Index(seg_cid[in_dim], name="cluster_id")
-        dtype = schema.field(d).type.to_pandas_dtype()
+        dtype = pdf[d].dtype
         minmax[d] = pd.DataFrame(
             {
                 "vmin": value[starts[in_dim]].astype(dtype),

@@ -2,9 +2,11 @@
 
 Encapsulates the experiment setup used throughout the evaluation: partition
 a count tensor horizontally across ``n_providers``, assign value-local
-clusters of the agreed size S per provider, create the Spark DataFrames,
-optionally persist each provider to a cluster-pruned parquet store, and run
-the offline metadata build (Algorithm 1).
+clusters of the agreed size S per provider, and run the offline metadata
+build (Algorithm 1) on each provider's clustered pandas frame. Each
+provider's table is then either persisted to a cluster-pruned parquet
+store, which Spark opens, or copied into a cached Spark DataFrame; opening
+a store is the only Spark work the build does.
 """
 from __future__ import annotations
 
@@ -91,15 +93,13 @@ def build_federation(
     for i, part in enumerate(parts):
         local = assign_clusters(part, cluster_size=S, sort_dim=sort_dim, seed=seed + i)
         local_frames.append(local)
-        df = spark.createDataFrame(local)
-        store = None
-        if store_root is not None:
-            path = os.path.join(store_root, f"provider_{i}")
-            store = ClusterStore.write(df, path)
-            df = store.read_all(spark)
+        if store_root is None:
+            store = None
+            df = spark.createDataFrame(local).cache()
         else:
-            df = df.cache()
-        meta = build_metadata(df, dims=dims, S=S)
+            store = ClusterStore.write(local, os.path.join(store_root, f"provider_{i}"))
+            df = store.read_all(spark)
+        meta = build_metadata(local, dims=dims, S=S)
         providers.append(
             DataProvider(
                 f"provider_{i}",

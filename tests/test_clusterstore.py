@@ -1,6 +1,12 @@
 """Tests for the cluster-pruned parquet store."""
 from __future__ import annotations
 
+import glob
+import os
+
+import numpy as np
+import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 
 from repro.clusterstore.store import ClusterStore
@@ -10,12 +16,12 @@ from repro.synth_data import adult_tensor, assign_clusters
 
 
 @pytest.fixture(scope="module")
-def stored(spark, tmp_path_factory):
+def stored(tmp_path_factory):
     pdf = assign_clusters(
         adult_tensor(sf=0.0005, seed=2), cluster_size=100, sort_dim="age", seed=0
     )
     path = str(tmp_path_factory.mktemp("store") / "prov0")
-    store = ClusterStore.write(spark.createDataFrame(pdf), path)
+    store = ClusterStore.write(pdf, path)
     return pdf, store
 
 
@@ -64,6 +70,31 @@ class TestPrunedReads:
         a = store.read_clusters(spark, [2, 2, 2]).count()
         b = store.read_clusters(spark, [2]).count()
         assert a == b
+
+
+class TestWrite:
+    def test_rewrite_replaces_previous_store(self, spark, stored, tmp_path):
+        pdf, _ = stored
+        path = str(tmp_path / "prov")
+        ClusterStore.write(pdf, path)
+        fewer = pdf[pdf["cluster_id"] < 3]
+        store = ClusterStore.write(fewer, path)
+        assert store.n_clusters() == 3
+        got = store.read_all(spark).toPandas()
+        assert len(got) == len(fewer)
+        assert set(got["cluster_id"]) == {0, 1, 2}
+
+    def test_files_carry_no_pandas_metadata(self, stored):
+        _, store = stored
+        files = glob.glob(os.path.join(store.path, "cluster_id=*", "*.parquet"))
+        assert len(files) == store.n_clusters()
+        for f in files:
+            assert b"pandas" not in (pq.read_metadata(f).metadata or {})
+
+    def test_more_clusters_than_pyarrow_default_cap(self, tmp_path):
+        pdf = pd.DataFrame({"cluster_id": np.arange(1100), "age": np.arange(1100)})
+        store = ClusterStore.write(pdf, str(tmp_path / "prov"))
+        assert store.n_clusters() == 1100
 
 
 class TestErrors:

@@ -43,12 +43,31 @@ def test_store_metadata_equals_in_memory_metadata(mem_fed, store_fed):
             assert np.array_equal(b.rgeq[key][0], values), key
             assert np.array_equal(b.rgeq[key][1], r), key
         for d in a.dims:
-            # cluster_id is read back as an int32 partition column
-            assert b.minmax[d].index.dtype == np.int32
-            assert a.minmax[d].index.dtype == np.int64
-            pd.testing.assert_frame_equal(
-                b.minmax[d], a.minmax[d], check_exact=True, check_index_type=False
-            )
+            assert a.minmax[d].index.dtype == b.minmax[d].index.dtype == np.int64
+            pd.testing.assert_frame_equal(b.minmax[d], a.minmax[d], check_exact=True)
+
+
+def test_store_reads_back_with_spark_schema(store_fed):
+    """Dims and measure are bigint, cluster_id an int partition column."""
+    for p, local in zip(store_fed.providers, store_fed.local_frames):
+        columns = [c for c in local.columns if c != "cluster_id"]
+        assert set(columns) == set(ADULT_DIMS) | {"measure"}
+        assert p.evaluator.df.dtypes == [(c, "bigint") for c in columns] + [("cluster_id", "int")]
+
+
+@pytest.mark.parametrize("on_store", [False, True], ids=["in_memory", "store"])
+def test_build_runs_no_spark_jobs(spark, tensor, tmp_path, on_store):
+    """Algorithm 1 and the store write run on the driver; a store-backed
+    build only opens each store (file listing and schema)."""
+    sc = spark.sparkContext
+    group = f"build-{on_store}"
+    sc.setJobGroup(group, "build_federation")
+    try:
+        build_federation(spark, tensor, store_root=str(tmp_path) if on_store else None, **BUILD)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    jobs = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert jobs <= (2 * BUILD["n_providers"] if on_store else 0)
 
 
 def test_fixed_seed_answers_identical(mem_fed, store_fed):

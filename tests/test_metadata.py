@@ -14,26 +14,22 @@ DIMS = ["age", "education", "hours"]
 
 
 @pytest.fixture(scope="module")
-def clustered(spark):
-    pdf = assign_clusters(
+def pdf():
+    return assign_clusters(
         adult_tensor(sf=0.001, seed=3), cluster_size=80, sort_dim="age", seed=0
     )
-    return pdf, spark.createDataFrame(pdf)
 
 
 @pytest.fixture(scope="module")
-def meta(clustered):
-    _, sdf = clustered
-    return build_metadata(sdf, dims=DIMS, S=80)
+def meta(pdf):
+    return build_metadata(pdf, dims=DIMS, S=80)
 
 
 class TestStructure:
-    def test_all_clusters_present(self, clustered, meta):
-        pdf, _ = clustered
+    def test_all_clusters_present(self, pdf, meta):
         assert meta.n_clusters == pdf["cluster_id"].nunique()
 
-    def test_n_rows_match(self, clustered, meta):
-        pdf, _ = clustered
+    def test_n_rows_match(self, pdf, meta):
         sizes = pdf.groupby("cluster_id").size()
         for cid, n in sizes.items():
             assert meta.n_rows[int(cid)] == int(n)
@@ -43,23 +39,20 @@ class TestStructure:
         for d in DIMS:
             assert d in meta.minmax
 
-    def test_rgeq_entries_for_every_cluster_dim(self, clustered, meta):
-        pdf, _ = clustered
+    def test_rgeq_entries_for_every_cluster_dim(self, pdf, meta):
         for cid in pdf["cluster_id"].unique():
             for d in DIMS:
                 assert (int(cid), d) in meta.rgeq
 
-    def test_invalid_S_rejected(self, clustered):
-        _, sdf = clustered
+    def test_invalid_S_rejected(self, pdf):
         with pytest.raises(ValueError, match="S must be positive"):
-            build_metadata(sdf, dims=DIMS, S=0)
+            build_metadata(pdf, dims=DIMS, S=0)
 
 
 class TestRgeqValues:
     @pytest.mark.parametrize("dim", DIMS)
-    def test_stored_values_match_brute_force(self, clustered, meta, dim):
+    def test_stored_values_match_brute_force(self, pdf, meta, dim):
         """R^{d>=}(v) = |rows >= v| / S at every stored distinct value."""
-        pdf, _ = clustered
         for cid in list(pdf["cluster_id"].unique())[:5]:
             cluster = pdf[pdf["cluster_id"] == cid]
             values, r = meta.rgeq[(int(cid), dim)]
@@ -75,22 +68,19 @@ class TestRgeqValues:
             assert (np.diff(values) > 0).all()
             assert (np.diff(r) < 0).all(), "R^{d>=} must strictly decrease in v"
 
-    def test_lookup_between_stored_values(self, clustered, meta):
+    def test_lookup_between_stored_values(self, pdf, meta):
         """Step-function semantics for arbitrary x."""
-        pdf, _ = clustered
         cid = int(pdf["cluster_id"].iloc[0])
         cluster = pdf[pdf["cluster_id"] == cid]
         for x in [-5, 0, 17.5, 33, 200]:
             expect = (cluster["age"] >= x).sum() / 80.0
             assert meta.r_geq(cid, "age", x) == pytest.approx(expect), x
 
-    def test_lookup_beyond_max_is_zero(self, clustered, meta):
-        pdf, _ = clustered
+    def test_lookup_beyond_max_is_zero(self, pdf, meta):
         cid = int(pdf["cluster_id"].iloc[0])
         assert meta.r_geq(cid, "age", 10_000) == 0.0
 
-    def test_lookup_at_or_below_min_is_full(self, clustered, meta):
-        pdf, _ = clustered
+    def test_lookup_at_or_below_min_is_full(self, pdf, meta):
         cid = int(pdf["cluster_id"].iloc[0])
         n = meta.n_rows[cid]
         assert meta.r_geq(cid, "age", -(10**9)) == pytest.approx(n / 80.0)
@@ -98,8 +88,7 @@ class TestRgeqValues:
 
 class TestMinMax:
     @pytest.mark.parametrize("dim", DIMS)
-    def test_minmax_match_brute_force(self, clustered, meta, dim):
-        pdf, _ = clustered
+    def test_minmax_match_brute_force(self, pdf, meta, dim):
         mm = meta.minmax[dim]
         brute = pdf.groupby("cluster_id")[dim].agg(["min", "max"])
         for cid in brute.index:
@@ -108,9 +97,8 @@ class TestMinMax:
 
 
 class TestFootprint:
-    def test_size_bytes_positive_and_small(self, clustered, meta):
+    def test_size_bytes_positive_and_small(self, pdf, meta):
         """Metadata must be a tiny fraction of the table (paper: KB/cluster)."""
-        pdf, _ = clustered
         table_bytes = pdf.memory_usage(index=False).sum()
         assert 0 < meta.size_bytes() < table_bytes
 
@@ -165,7 +153,7 @@ class TestGolden:
             assert_metadata_equal(provider.meta, reference_metadata(local, fed.dims, fed.S))
             assert provider.meta.minmax[fed.dims[0]].index.dtype == local["cluster_id"].dtype
 
-    def test_mixed_dim_types_keep_their_dtypes(self, spark):
+    def test_mixed_dim_types_keep_their_dtypes(self):
         pdf = pd.DataFrame(
             {
                 "cluster_id": np.repeat(np.arange(3, dtype="int64"), 4),
@@ -173,21 +161,23 @@ class TestGolden:
                 "b": np.linspace(0.0, 2.75, 12),
             }
         )
-        meta = build_metadata(spark.createDataFrame(pdf), dims=["a", "b"], S=4)
+        meta = build_metadata(pdf, dims=["a", "b"], S=4)
         assert_metadata_equal(meta, reference_metadata(pdf, ["a", "b"], 4))
         assert meta.minmax["a"]["vmin"].dtype == np.int64
         assert meta.minmax["b"]["vmax"].dtype == np.float64
 
 
 class TestDegenerateInputs:
-    def test_no_dims_rejected(self, clustered):
-        _, sdf = clustered
+    def test_no_dims_rejected(self, pdf):
         with pytest.raises(ValueError, match="at least one dimension"):
-            build_metadata(sdf, dims=[], S=80)
+            build_metadata(pdf, dims=[], S=80)
 
-    def test_empty_table_gives_empty_metadata(self, clustered):
-        _, sdf = clustered
-        meta = build_metadata(sdf.limit(0), dims=DIMS, S=80)
+    def test_no_cluster_id_rejected(self, pdf):
+        with pytest.raises(ValueError, match="cluster_id"):
+            build_metadata(pdf.drop(columns="cluster_id"), dims=DIMS, S=80)
+
+    def test_empty_table_gives_empty_metadata(self, pdf):
+        meta = build_metadata(pdf.iloc[:0], dims=DIMS, S=80)
         assert meta.n_clusters == 0
         assert meta.rgeq == {} and meta.n_rows == {}
         assert meta.cluster_ids.size == 0
@@ -200,9 +190,8 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize(
         "ranges", [{"age": (10, 50), "hours": (0, 98)}, {}], ids=["ranges", "full"]
     )
-    def test_empty_table_gives_empty_cq(self, clustered, ranges):
-        _, sdf = clustered
-        meta = build_metadata(sdf.limit(0), dims=DIMS, S=80)
+    def test_empty_table_gives_empty_cq(self, pdf, ranges):
+        meta = build_metadata(pdf.iloc[:0], dims=DIMS, S=80)
         cq = clusters_for_query(meta, RangeQuery(COUNT, ranges))
         assert cq.size == 0 and cq.dtype == np.int64
         ids, r = proportions(meta, RangeQuery(COUNT, ranges))

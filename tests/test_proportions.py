@@ -19,11 +19,11 @@ S = 80
 
 
 @pytest.fixture(scope="module")
-def setup(spark):
+def setup():
     pdf = assign_clusters(
         adult_tensor(sf=0.001, seed=5), cluster_size=S, sort_dim="age", seed=0
     )
-    meta = build_metadata(spark.createDataFrame(pdf), dims=DIMS, S=S)
+    meta = build_metadata(pdf, dims=DIMS, S=S)
     return pdf, meta
 
 
